@@ -11,9 +11,22 @@ func FuzzRectInvariants(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 2.0, 2.0)
 	f.Add(-3.0, 4.0, 7.5, 8.25, 1.0, 1.0, 1.0, 1.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	negZero := math.Copysign(0, -1)
+	f.Add(negZero, 0.0, 1.0, negZero, 0.0, negZero, negZero, 1.0)
+	f.Add(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 1.0)
+	f.Add(-1e300, -1e300, 1e300, 1e300, -5e-324, 5e-324, 1e308, 1e308)
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy, dx, dy} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		// On any finite coordinates, normalized or not, the builtin
+		// min/max agree bit for bit with the math.Min/math.Max formulation.
+		checkMathMinMax(t, Rect{ax, ay, bx, by}, Rect{cx, cy, dx, dy})
+		checkMathMinMax(t, NewRect(ax, ay, bx, by), NewRect(cx, cy, dx, dy))
+		for _, v := range []float64{ax, ay, bx, by, cx, cy, dx, dy} {
+			if math.Abs(v) > 1e9 {
 				t.Skip()
 			}
 		}

@@ -267,3 +267,95 @@ func TestIntersectionProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mathIntersection, mathIntersectionArea and mathExtend are the
+// math.Min/math.Max formulations that Rect's methods must match bit for bit.
+func mathIntersection(r, s Rect) (Rect, bool) {
+	if !r.Intersects(s) {
+		return Rect{}, false
+	}
+	return Rect{
+		MinX: math.Max(r.MinX, s.MinX),
+		MinY: math.Max(r.MinY, s.MinY),
+		MaxX: math.Min(r.MaxX, s.MaxX),
+		MaxY: math.Min(r.MaxY, s.MaxY),
+	}, true
+}
+
+func mathIntersectionArea(r, s Rect) float64 {
+	w := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+	if w <= 0 {
+		return 0
+	}
+	h := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+	if h <= 0 {
+		return 0
+	}
+	return w * h
+}
+
+func mathExtend(r, s Rect) Rect {
+	return Rect{
+		MinX: math.Min(r.MinX, s.MinX),
+		MinY: math.Min(r.MinY, s.MinY),
+		MaxX: math.Max(r.MaxX, s.MaxX),
+		MaxY: math.Max(r.MaxY, s.MaxY),
+	}
+}
+
+func sameBits(a, b Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
+}
+
+// checkMathMinMax fails t unless Intersection, IntersectionArea and Extend
+// of r and s, in both argument orders, equal their math.Min/math.Max
+// formulations bit for bit.
+func checkMathMinMax(t *testing.T, r, s Rect) {
+	t.Helper()
+	for _, p := range [2][2]Rect{{r, s}, {s, r}} {
+		a, b := p[0], p[1]
+		gi, gok := a.Intersection(b)
+		wi, wok := mathIntersection(a, b)
+		if gok != wok || !sameBits(gi, wi) {
+			t.Errorf("Intersection(%v, %v) = %v %v, math form %v %v", a, b, gi, gok, wi, wok)
+		}
+		if g, w := a.IntersectionArea(b), mathIntersectionArea(a, b); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("IntersectionArea(%v, %v) = %v, math form %v", a, b, g, w)
+		}
+		if g, w := a.Extend(b), mathExtend(a, b); !sameBits(g, w) {
+			t.Errorf("Extend(%v, %v) = %v, math form %v", a, b, g, w)
+		}
+	}
+}
+
+// TestMinMaxMatchesMath pins the builtin min/max in the rectangle algebra
+// against math.Min/math.Max on finite values: signed zeros, equal and
+// touching edges, nesting, disjointness and extreme magnitudes.
+func TestMinMaxMatchesMath(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		r, s Rect
+	}{
+		{"signed zeros", Rect{nz, nz, 1, 1}, Rect{0, 0, 1, 1}},
+		{"zero-width at signed zero", Rect{nz, 0, 0, 1}, Rect{0, nz, nz, 1}},
+		{"all signed zeros", Rect{nz, nz, nz, nz}, Rect{0, 0, 0, 0}},
+		{"equal", Rect{1, 2, 3, 4}, Rect{1, 2, 3, 4}},
+		{"equal edges", Rect{0, 0, 2, 2}, Rect{0, 1, 2, 3}},
+		{"touch on edge", Rect{0, 0, 1, 1}, Rect{1, 0, 2, 1}},
+		{"touch at corner", Rect{0, 0, 1, 1}, Rect{1, 1, 2, 2}},
+		{"overlap", Rect{0, 0, 2, 2}, Rect{1, 1, 3, 3}},
+		{"nested", Rect{0, 0, 10, 10}, Rect{2, 3, 4, 5}},
+		{"disjoint", Rect{0, 0, 1, 1}, Rect{5, 5, 6, 6}},
+		{"point on edge", Rect{0, 0, 1, 1}, Rect{1, 0.5, 1, 0.5}},
+		{"subnormal", Rect{0, 0, 5e-324, 5e-324}, Rect{nz, nz, 1e-320, 1e-320}},
+		{"huge", Rect{-1e308, -1e308, 1e308, 1e308}, Rect{-math.MaxFloat64, 0, math.MaxFloat64, 1}},
+		{"negative", Rect{-3, -4, -1, -2}, Rect{-2, -3, 0, nz}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkMathMinMax(t, c.r, c.s) })
+	}
+}

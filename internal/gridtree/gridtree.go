@@ -1,9 +1,7 @@
 // Package gridtree implements the grid tree of Sections 4.3 and 5.2: a
 // conceptual quadtree over the data space whose level-l grids form a 2^l×2^l
-// uniform partition. It provides node geometry, the expected inverted-list
-// size Î(g) of a grid under the uniform-query assumption, and the grid error
-// of Definition 6 — the inputs of both grid-granularity selection and
-// hierarchical hybrid signature selection (HSS).
+// uniform partition. It provides node identity and geometry; hierarchical
+// hybrid signature selection (internal/hss) prices nodes over it.
 package gridtree
 
 import (
@@ -89,57 +87,4 @@ func (t *Tree) Rect(n NodeID) geo.Rect {
 	minX := t.Space.MinX + float64(n.IX())*w
 	minY := t.Space.MinY + float64(n.IY())*h
 	return geo.Rect{MinX: minX, MinY: minY, MaxX: minX + w, MaxY: minY + h}
-}
-
-// ExpectedListSize returns Î(g) = Σ_o |g ∩ o.R| / |g| over the given object
-// regions — the expected number of postings a uniformly-placed query would
-// retrieve from g's inverted list (Section 5.2).
-func (t *Tree) ExpectedListSize(n NodeID, rects []geo.Rect) float64 {
-	r := t.Rect(n)
-	area := r.Area()
-	if area <= 0 {
-		return 0
-	}
-	var sum float64
-	for _, o := range rects {
-		sum += r.IntersectionArea(o)
-	}
-	return sum / area
-}
-
-// NodeError returns Error(n) = Σ_{child c} (Î(n) − Î(c))², the approximation
-// the HSS-Greedy algorithm uses in place of the finest-grid error of
-// Definition 6. Leaves have error 0 by definition.
-func (t *Tree) NodeError(n NodeID, rects []geo.Rect) float64 {
-	if t.IsLeaf(n) {
-		return 0
-	}
-	parent := t.ExpectedListSize(n, rects)
-	var e float64
-	for _, c := range t.Children(n) {
-		d := parent - t.ExpectedListSize(c, rects)
-		e += d * d
-	}
-	return e
-}
-
-// FilterIntersecting appends to out the indices (into rects) of regions
-// sharing positive area with node n, and returns it. It is the subset that
-// descends with n during greedy selection.
-func (t *Tree) FilterIntersecting(n NodeID, rects []geo.Rect, subset []int, out []int) []int {
-	r := t.Rect(n)
-	if subset == nil {
-		for i, o := range rects {
-			if r.IntersectionArea(o) > 0 {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for _, i := range subset {
-		if r.IntersectionArea(rects[i]) > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }

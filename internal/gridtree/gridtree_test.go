@@ -82,71 +82,8 @@ func TestChildrenOfLeafPanics(t *testing.T) {
 	tr.Children(tr.Root())
 }
 
-func TestExpectedListSize(t *testing.T) {
-	tr := newTree(t, 2)
-	// One region covering exactly the bottom-left level-1 quadrant.
-	rects := []geo.Rect{{MinX: 0, MinY: 0, MaxX: 64, MaxY: 64}}
-	// Root: |g ∩ o| / |g| = 64²/128² = 0.25.
-	if got := tr.ExpectedListSize(tr.Root(), rects); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("root Î = %v, want 0.25", got)
-	}
-	// Bottom-left child: fully covered → 1. Top-right child → 0.
-	kids := tr.Children(tr.Root())
-	if got := tr.ExpectedListSize(kids[0], rects); math.Abs(got-1) > 1e-12 {
-		t.Errorf("bl child Î = %v, want 1", got)
-	}
-	if got := tr.ExpectedListSize(kids[3], rects); got != 0 {
-		t.Errorf("tr child Î = %v, want 0", got)
-	}
-}
-
-func TestNodeError(t *testing.T) {
-	tr := newTree(t, 2)
-	rects := []geo.Rect{{MinX: 0, MinY: 0, MaxX: 64, MaxY: 64}}
-	// Î(root)=0.25; children Î = 1,0,0,0 →
-	// error = (0.25-1)² + 3·(0.25-0)² = 0.5625 + 0.1875 = 0.75.
-	if got := tr.NodeError(tr.Root(), rects); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("root error = %v, want 0.75", got)
-	}
-	// A uniformly covered node has error 0.
-	full := []geo.Rect{tr.Space}
-	if got := tr.NodeError(tr.Root(), full); got != 0 {
-		t.Errorf("uniform error = %v, want 0", got)
-	}
-	// Leaves have error 0 by definition.
-	leafTree := newTree(t, 0)
-	if got := leafTree.NodeError(leafTree.Root(), rects); got != 0 {
-		t.Errorf("leaf error = %v, want 0", got)
-	}
-}
-
-func TestFilterIntersecting(t *testing.T) {
-	tr := newTree(t, 1)
-	rects := []geo.Rect{
-		{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10},       // bottom-left
-		{MinX: 100, MinY: 100, MaxX: 120, MaxY: 120}, // top-right
-		{MinX: 60, MinY: 60, MaxX: 70, MaxY: 70},     // straddles center
-	}
-	kids := tr.Children(tr.Root())
-	bl := tr.FilterIntersecting(kids[0], rects, nil, nil)
-	if len(bl) != 2 || bl[0] != 0 || bl[1] != 2 {
-		t.Fatalf("bottom-left subset = %v, want [0 2]", bl)
-	}
-	// Subset chaining: restrict further from an existing subset.
-	sub := tr.FilterIntersecting(kids[3], rects, []int{1, 2}, nil)
-	if len(sub) != 2 {
-		t.Fatalf("top-right subset = %v, want [1 2]", sub)
-	}
-	// Regions touching only at the node boundary are excluded.
-	edge := []geo.Rect{{MinX: 64, MinY: 0, MaxX: 70, MaxY: 10}}
-	if got := tr.FilterIntersecting(kids[0], edge, nil, nil); len(got) != 0 {
-		t.Fatalf("boundary-touching region should be excluded, got %v", got)
-	}
-}
-
-// TestLevelPartition: at any level, the 4^l nodes partition the space and
-// Î respects nesting (a node's Î times its area equals the sum over
-// children).
+// TestLevelPartition: a node's four children tile it, so every region's
+// intersection area with the node equals the sum over the children.
 func TestLevelPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,18 +91,19 @@ func TestLevelPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var rects []geo.Rect
+		n := MakeNodeID(2, rng.Intn(4), rng.Intn(4))
 		for i := 0; i < 5; i++ {
 			x, y := rng.Float64()*240, rng.Float64()*240
-			rects = append(rects, geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*16 + 0.5, MaxY: y + rng.Float64()*16 + 0.5})
+			o := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*16 + 0.5, MaxY: y + rng.Float64()*16 + 0.5}
+			var childArea float64
+			for _, c := range tr.Children(n) {
+				childArea += tr.Rect(c).IntersectionArea(o)
+			}
+			if math.Abs(tr.Rect(n).IntersectionArea(o)-childArea) >= 1e-6 {
+				return false
+			}
 		}
-		n := MakeNodeID(2, rng.Intn(4), rng.Intn(4))
-		parentMass := tr.ExpectedListSize(n, rects) * tr.Rect(n).Area()
-		var childMass float64
-		for _, c := range tr.Children(n) {
-			childMass += tr.ExpectedListSize(c, rects) * tr.Rect(c).Area()
-		}
-		return math.Abs(parentMass-childMass) < 1e-6
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
